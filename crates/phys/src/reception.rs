@@ -173,15 +173,6 @@ pub struct BackendSpec {
     pub model: InterferenceModel,
     /// OS threads the per-listener loop is split across (1 = serial).
     pub threads: usize,
-    /// Opt-in f32 structure-of-arrays fast path for the table-backed
-    /// kernels (`cached:f32`, `hybrid[:CUTOFF]:f32`): interference
-    /// totals are accumulated in f64 over half-width f32 gain rows —
-    /// the hot sweeps stream half the bytes — with a widened,
-    /// f32-aware drift bound feeding the same guarded exact-f64-replay
-    /// machinery, so decisions stay bit-identical to the f64 kernels
-    /// (and, for `cached:f32`, to [`ExactBackend`]). Ignored by the
-    /// stateless models.
-    pub fast32: bool,
 }
 
 impl Default for BackendSpec {
@@ -189,18 +180,13 @@ impl Default for BackendSpec {
         BackendSpec {
             model: InterferenceModel::Exact,
             threads: 1,
-            fast32: false,
         }
     }
 }
 
 impl From<InterferenceModel> for BackendSpec {
     fn from(model: InterferenceModel) -> Self {
-        BackendSpec {
-            model,
-            threads: 1,
-            fast32: false,
-        }
+        BackendSpec { model, threads: 1 }
     }
 }
 
@@ -223,7 +209,6 @@ impl BackendSpec {
         BackendSpec {
             model: InterferenceModel::GridFarField { cell_size },
             threads: 1,
-            fast32: false,
         }
     }
 
@@ -233,7 +218,6 @@ impl BackendSpec {
         BackendSpec {
             model: InterferenceModel::Cached,
             threads: 1,
-            fast32: false,
         }
     }
 
@@ -252,7 +236,6 @@ impl BackendSpec {
         BackendSpec {
             model: InterferenceModel::Hybrid { cutoff },
             threads: 1,
-            fast32: false,
         }
     }
 
@@ -264,28 +247,6 @@ impl BackendSpec {
     pub fn with_threads(self, threads: usize) -> Self {
         assert!(threads > 0, "threads must be nonzero");
         BackendSpec { threads, ..self }
-    }
-
-    /// Opts into the f32 structure-of-arrays fast path (see
-    /// [`BackendSpec::fast32`]). Decisions are unchanged — proptested
-    /// bit-identical — only the sweep bandwidth is.
-    ///
-    /// # Panics
-    ///
-    /// Panics for the stateless models (exact/grid): only the
-    /// table-backed kernels have gain rows to narrow.
-    pub fn with_fast32(self) -> Self {
-        assert!(
-            matches!(
-                self.model,
-                InterferenceModel::Cached | InterferenceModel::Hybrid { .. }
-            ),
-            "f32 fast path applies to the cached/hybrid kernels only"
-        );
-        BackendSpec {
-            fast32: true,
-            ..self
-        }
     }
 
     /// Resolves the thread count against a concrete deployment size via
@@ -315,7 +276,6 @@ impl BackendSpec {
         BackendSpec {
             model,
             threads: effective_threads(self.threads, listeners),
-            fast32: self.fast32,
         }
     }
 
@@ -330,12 +290,10 @@ impl BackendSpec {
             // (their hot loops are listener-chunked internally), so they
             // never go through `ParallelBackend`.
             InterferenceModel::Cached => {
-                return Box::new(CachedBackend::with_threads(self.threads).fast32(self.fast32))
+                return Box::new(CachedBackend::with_threads(self.threads))
             }
             InterferenceModel::Hybrid { cutoff } => {
-                return Box::new(
-                    HybridBackend::with_threads(cutoff, self.threads).fast32(self.fast32),
-                )
+                return Box::new(HybridBackend::with_threads(cutoff, self.threads))
             }
         };
         if self.threads == 1 {
@@ -357,10 +315,10 @@ impl BackendSpec {
     /// O(n²) preparation across every cell of a sweep group.
     pub fn build_with_table(self, table: Option<&Arc<GainTable>>) -> Box<dyn InterferenceBackend> {
         match (self.model, table) {
-            (InterferenceModel::Cached, Some(table)) => Box::new(
-                CachedBackend::with_shared_table(Arc::clone(table), self.threads)
-                    .fast32(self.fast32),
-            ),
+            (InterferenceModel::Cached, Some(table)) => Box::new(CachedBackend::with_shared_table(
+                Arc::clone(table),
+                self.threads,
+            )),
             _ => self.build(),
         }
     }
@@ -375,10 +333,11 @@ impl BackendSpec {
         match self.model {
             InterferenceModel::Cached => self.build_with_table(tables.and_then(|t| t.dense())),
             InterferenceModel::Hybrid { cutoff } => match tables.and_then(|t| t.hybrid()) {
-                Some(table) => Box::new(
-                    HybridBackend::with_shared_table(cutoff, Arc::clone(table), self.threads)
-                        .fast32(self.fast32),
-                ),
+                Some(table) => Box::new(HybridBackend::with_shared_table(
+                    cutoff,
+                    Arc::clone(table),
+                    self.threads,
+                )),
                 None => self.build(),
             },
             _ => self.build(),
@@ -386,12 +345,10 @@ impl BackendSpec {
     }
 
     /// Parses a spec from a compact string, for CLI/bench selection:
-    /// `exact`, `grid:CELL`, `cached`, `hybrid[:CUTOFF]`, `f32`,
-    /// `par:THREADS`, or combinations like `grid:CELL:par:THREADS`,
-    /// `hybrid:16:par:8`, `cached:f32` and `hybrid:12:f32:par:8`. The
-    /// hybrid cutoff is optional — bare `hybrid` auto-selects the weak
-    /// range R at preparation time — and `f32` (valid after `cached`
-    /// or `hybrid` only) opts into the structure-of-arrays fast path.
+    /// `exact`, `grid:CELL`, `cached`, `hybrid[:CUTOFF]`, `par:THREADS`,
+    /// or combinations like `grid:CELL:par:THREADS` and
+    /// `hybrid:16:par:8`. The hybrid cutoff is optional — bare `hybrid`
+    /// auto-selects the weak range R at preparation time.
     ///
     /// # Errors
     ///
@@ -433,17 +390,9 @@ impl BackendSpec {
                     spec.model = InterferenceModel::GridFarField { cell_size };
                 }
                 Some("f32") => {
-                    if !matches!(
-                        spec.model,
-                        InterferenceModel::Cached | InterferenceModel::Hybrid { .. }
-                    ) {
-                        return Err(
-                            "f32 applies to the table-backed kernels only, e.g. cached:f32 \
-                             or hybrid:16:f32"
-                                .to_string(),
-                        );
-                    }
-                    spec.fast32 = true;
+                    return Err("backend component \"f32\" was removed: every table kernel \
+                         now runs in f64; drop \":f32\" from the spec"
+                        .to_string())
                 }
                 Some("par") => {
                     let t = parts
@@ -459,7 +408,7 @@ impl BackendSpec {
                 }
                 Some(other) => {
                     return Err(format!(
-                    "unknown backend component {other:?}; expected exact, grid:CELL, cached, hybrid[:CUTOFF], f32 or par:THREADS"
+                    "unknown backend component {other:?}; expected exact, grid:CELL, cached, hybrid[:CUTOFF] or par:THREADS"
                 ))
                 }
             }
@@ -475,9 +424,6 @@ impl std::fmt::Display for BackendSpec {
             InterferenceModel::Cached => write!(f, "cached")?,
             InterferenceModel::Hybrid { cutoff: 0.0 } => write!(f, "hybrid")?,
             InterferenceModel::Hybrid { cutoff } => write!(f, "hybrid:{cutoff}")?,
-        }
-        if self.fast32 {
-            write!(f, ":f32")?;
         }
         if self.threads > 1 {
             write!(f, ":par:{}", self.threads)?;
@@ -1078,13 +1024,6 @@ pub struct GainTable {
     /// them conservative in O(1) per touched row, so pruning can only
     /// get less effective under mobility, never unsound.
     d2_bmin: Vec<f64>,
-    /// Lazy half-width mirror of `gains` for the `:f32` fast path:
-    /// materialized once on first use (nearest-even narrowing of every
-    /// entry), patched in place by [`GainTable::move_node`] when
-    /// already materialized. Never consulted by the f64 sweeps, never
-    /// part of [`GainTable::matches`] — it is a derived view, not
-    /// state.
-    gains32: OnceLock<Vec<f32>>,
 }
 
 impl GainTable {
@@ -1185,7 +1124,6 @@ impl GainTable {
             gains,
             d2,
             d2_bmin,
-            gains32: OnceLock::new(),
         })
     }
 
@@ -1196,18 +1134,13 @@ impl GainTable {
     }
 
     /// Resident size of the table in bytes: the gain and distance
-    /// matrices (`2 × n² × 8`) plus the retained position copy, plus
-    /// the f32 mirror (`n² × 4`) once an `:f32` run has materialized
-    /// it. This is the quantity byte-budgeted caches account per entry
-    /// — a shared `Arc` costs this once no matter how many runs adopt
-    /// it.
+    /// matrices (`2 × n² × 8`) and their block minima plus the retained
+    /// position copy. This is the quantity byte-budgeted caches account
+    /// per entry — a shared `Arc` costs this once no matter how many
+    /// runs adopt it.
     pub fn bytes(&self) -> usize {
         (self.gains.len() + self.d2.len() + self.d2_bmin.len()) * std::mem::size_of::<f64>()
             + self.positions.len() * std::mem::size_of::<Point>()
-            + self
-                .gains32
-                .get()
-                .map_or(0, |m| m.len() * std::mem::size_of::<f32>())
     }
 
     /// Whether this cache was built for exactly these parameters and
@@ -1250,25 +1183,6 @@ impl GainTable {
         self.d2_bmin[s * self.n.div_ceil(PRUNE_BLOCK) + b]
     }
 
-    /// The f32 gain mirror, materialized on first call (O(n²) narrow,
-    /// paid once per table; thread-safe — concurrent sweep chunks
-    /// block on the one initializer).
-    fn gains32(&self) -> &[f32] {
-        self.gains32.get_or_init(|| {
-            let mut mirror = vec![0.0f32; self.gains.len()];
-            simd::narrow_row(&mut mirror, &self.gains);
-            mirror
-        })
-    }
-
-    /// Sender `s`'s f32 mirror gains at the listener range
-    /// `[base, base + len)`. Callers materialize via
-    /// [`GainTable::gains32`] before a parallel sweep.
-    #[inline]
-    fn gain32_row(&self, s: usize, base: usize, len: usize) -> &[f32] {
-        &self.gains32()[s * self.n + base..s * self.n + base + len]
-    }
-
     /// Repairs the table after `node` moved to `to`: its gain/distance
     /// row (node as sender) and column (node as listener) are recomputed
     /// against the current positions, O(n) with the same per-pair
@@ -1284,16 +1198,11 @@ impl GainTable {
             gains,
             d2,
             d2_bmin,
-            gains32,
         } = self;
         let n = *n;
         let nb = n.div_ceil(PRUNE_BLOCK);
         let bnode = node / PRUNE_BLOCK;
         positions[node] = to;
-        // A materialized f32 mirror is patched in place — O(n) like the
-        // row/column repair itself — so mobility never forces an O(n²)
-        // re-narrow; an unmaterialized mirror stays unmaterialized.
-        let mut mirror = gains32.get_mut();
         for other in 0..n {
             if other == node {
                 continue;
@@ -1304,10 +1213,6 @@ impl GainTable {
             gains[node * n + other] = g;
             d2[other * n + node] = dd;
             gains[other * n + node] = g;
-            if let Some(m) = mirror.as_deref_mut() {
-                m[node * n + other] = g as f32;
-                m[other * n + node] = g as f32;
-            }
             // The other row's block bound only needs to stay a lower
             // bound: lowering it towards the new entry is O(1); the
             // (rare) case where the moved entry *was* the minimum and
@@ -1378,11 +1283,6 @@ fn listener_chunks<'a>(
         .collect()
 }
 
-/// Rebuilds a listener range from scratch: totals summed sender-major in
-/// ascending sender order (per listener, the identical operation sequence
-/// [`ExactBackend`] performs, hence identical bits) and nearest senders
-/// re-selected with the exact backend's first-minimum tie-break. Resets
-/// the drift bound to cover only the inherent ordered-sum rounding.
 /// Folds sender `s`'s distance row into the nearest-sender selection
 /// for listeners `[base, base + len)`, skipping the sender's *own*
 /// listener slot. A node's zero self-distance would otherwise capture
@@ -1415,15 +1315,19 @@ fn lex_min_skip_self(
     }
 }
 
+/// Rebuilds a listener range from scratch: totals summed sender-major in
+/// ascending sender order (per listener, the identical operation sequence
+/// [`ExactBackend`] performs, hence identical bits) and nearest senders
+/// re-selected with the exact backend's first-minimum tie-break. Resets
+/// the drift bound to cover only the inherent ordered-sum rounding.
 fn refresh_range(ls: ListenerState<'_>, cache: &GainTable, senders: &[usize]) {
     let len = ls.total.len();
     ls.total.fill(0.0);
     ls.best_d2.fill(f64::INFINITY);
     ls.best_s.fill(NO_SENDER);
     for &s in senders {
-        // The unrolled kernel performs the same single add per listener
-        // in the same sender order as the scalar loop — identical bits,
-        // wider pipes.
+        // One add per listener per sender, in ascending sender order:
+        // the exact backend's summation order, hence identical bits.
         simd::add_assign(ls.total, cache.gain_row(s, ls.base, len));
         // Ascending sender order + strict < == the exact backend's
         // first-minimum tie-break, in select lanes instead of branches.
@@ -1441,107 +1345,11 @@ fn refresh_range(ls: ListenerState<'_>, cache: &GainTable, senders: &[usize]) {
     }
 }
 
-/// [`refresh_range`] over the f32 gain mirror: totals are still f64
-/// accumulators (summing in f32 would drift under cancellation and
-/// force constant replays) but stream half-width rows — the sweep is
-/// memory-bound, so the bandwidth halving is the win. The drift bound
-/// gains one `f32::EPSILON · |total|` term covering the one-time
-/// narrowing error of every summed gain (per term ≤ ½·2⁻²³·|g|, so the
-/// full-strength term covers the sum twice over); nearest-sender
-/// selection stays on the exact f64 distances.
-fn refresh_range_f32(ls: ListenerState<'_>, cache: &GainTable, senders: &[usize]) {
-    let len = ls.total.len();
-    ls.total.fill(0.0);
-    ls.best_d2.fill(f64::INFINITY);
-    ls.best_s.fill(NO_SENDER);
-    for &s in senders {
-        simd::add_assign_f32(ls.total, cache.gain32_row(s, ls.base, len));
-        lex_min_skip_self(
-            ls.best_d2,
-            ls.best_s,
-            cache.d2_row(s, ls.base, len),
-            s,
-            ls.base,
-        );
-    }
-    let kf = senders.len() as f64;
-    for (e, t) in ls.err.iter_mut().zip(ls.total.iter()) {
-        *e = (kf + 1.0) * f64::EPSILON * t.abs() + f64::from(f32::EPSILON) * t.abs();
-    }
-}
-
-/// Applies a transmitter-set delta to a listener range: departed senders'
-/// gains are subtracted and arrivals added (growing the per-listener
-/// drift bound by one rounding unit per update), the nearest-sender
-/// choice is patched incrementally, and listeners whose nearest sender
-/// departed are rescanned over the full new set.
-fn delta_range(
-    ls: ListenerState<'_>,
-    cache: &GainTable,
-    senders: &[usize],
-    enters: &[usize],
-    leaves: &[usize],
-) {
-    let len = ls.total.len();
-    for &s in leaves {
-        let grow = cache.gain_row(s, ls.base, len);
-        for ((t, e), &g) in ls.total.iter_mut().zip(ls.err.iter_mut()).zip(grow) {
-            *t -= g;
-            *e += f64::EPSILON * t.abs();
-        }
-    }
-    // Listeners orphaned by a departure rescan *after* arrivals are
-    // applied, over the complete new sender set — an arriving sender may
-    // or may not be the new nearest.
-    let mut orphaned: Vec<usize> = Vec::new();
-    if !leaves.is_empty() {
-        for (u, (bd, bs)) in ls.best_d2.iter_mut().zip(ls.best_s.iter_mut()).enumerate() {
-            if *bs != NO_SENDER && leaves.binary_search(bs).is_ok() {
-                *bd = f64::INFINITY;
-                *bs = NO_SENDER;
-                orphaned.push(ls.base + u);
-            }
-        }
-    }
-    for &s in enters {
-        let grow = cache.gain_row(s, ls.base, len);
-        for ((t, e), &g) in ls.total.iter_mut().zip(ls.err.iter_mut()).zip(grow) {
-            *t += g;
-            *e += f64::EPSILON * t.abs();
-        }
-        let drow = cache.d2_row(s, ls.base, len);
-        for ((bd, bs), &d) in ls.best_d2.iter_mut().zip(ls.best_s.iter_mut()).zip(drow) {
-            // Lexicographic (distance, sender index): the exact backend's
-            // ascending scan keeps the lowest-index sender among ties.
-            if d < *bd || (d == *bd && s < *bs) {
-                *bd = d;
-                *bs = s;
-            }
-        }
-    }
-    for &gu in &orphaned {
-        // Same symmetric-row rescan as [`patch_nearest_after_delta`]
-        // (identical comparisons, so identical selections).
-        let drow = cache.d2_row(gu, 0, cache.n);
-        let mut bd = f64::INFINITY;
-        let mut bs = NO_SENDER;
-        for &s in senders {
-            let d = drow[s];
-            if d < bd {
-                bd = d;
-                bs = s;
-            }
-        }
-        ls.best_d2[gu - ls.base] = bd;
-        ls.best_s[gu - ls.base] = bs;
-    }
-}
-
-/// The nearest-sender half of a delta application, shared by the fused
-/// sweeps. The selection state is *exact* (never error-bounded), so
-/// every delta variant must produce the identical final choice
-/// [`delta_range`] does: the lexicographic (distance, sender index)
-/// minimum over the new sender set for every listener.
+/// The nearest-sender half of [`delta_range_batched`]. The selection
+/// state is *exact* (never error-bounded): after the patch every
+/// listener holds the lexicographic (distance, sender index) minimum
+/// over the new sender set, the choice the exact backend's ascending
+/// first-minimum scan makes.
 ///
 /// Three phases, each pruned:
 ///
@@ -1652,29 +1460,29 @@ fn patch_nearest_after_delta(
     }
 }
 
-/// Cache-block width of the fused delta sweeps: 1024 listeners × two
+/// Cache-block width of the fused delta sweep: 1024 listeners × two
 /// f64 scratch lanes is 16 KiB of stack — L1-resident alongside the
 /// gain rows being streamed, so past-L2 tables (n ≥ ~1500) reuse each
 /// scratch line k times instead of refetching totals per sender.
 const DELTA_BLOCK: usize = 1024;
 
-/// Fused, cache-blocked variant of [`delta_range`]: all of a slot's
-/// arrivals and departures are folded per listener block in one pass —
-/// two pure-add accumulations (`pos` over enter rows, `neg` over leave
-/// rows, both SIMD-friendly) finalized by a single
-/// `total += pos − neg` — instead of k separate read-modify-write row
-/// sweeps.
+/// Applies a transmitter-set delta to a listener range, the cached
+/// kernel's one incremental path (per-slot churn and the mobility
+/// repair's leave/re-enter both run through it). All arrivals and
+/// departures are folded per listener block in one pass — two pure-add
+/// accumulations (`pos` over enter rows, `neg` over leave rows, both
+/// SIMD-friendly) finalized by a single `total += pos − neg` — instead
+/// of k separate read-modify-write row sweeps.
 ///
-/// Totals take a *different* rounding path than the one-at-a-time
-/// sweep, which is fine: decisions only ever depend on totals through
-/// the guarded near-threshold machinery, and the drift bound grown
-/// here stays conservative for the fused path. Per block, accumulating
+/// Totals round differently from the exact ordered sum, which is fine:
+/// decisions only ever depend on totals through the guarded
+/// near-threshold machinery, and the drift bound grown here stays
+/// conservative. Per block, accumulating
 /// `pos` (ke adds) errs ≤ ke·ε·pos, `neg` ≤ kl·ε·neg, the
 /// subtraction ≤ ε·(pos+neg) and the final add ≤ ε·|new total| —
 /// all absorbed (with the (1+O(ε)) cross terms doubled away) by
 /// `ε·((kf+2)·(pos+neg) + 2·|new total|)` with kf the full delta
-/// count. The nearest-sender half runs [`patch_nearest_after_delta`],
-/// the exact sequence [`delta_range`] performs.
+/// count. The nearest-sender half runs [`patch_nearest_after_delta`].
 fn delta_range_batched(
     ls: ListenerState<'_>,
     cache: &GainTable,
@@ -1708,51 +1516,6 @@ fn delta_range_batched(
             let t_new = *t + (p - ng);
             *t = t_new;
             *e += f64::EPSILON * ((kf + 2.0) * (p + ng) + 2.0 * t_new.abs());
-        }
-        start += blk;
-    }
-    patch_nearest_after_delta(&mut ls, cache, senders, enters, leaves);
-}
-
-/// [`delta_range_batched`] over the f32 gain mirror (f64 accumulators,
-/// half-width rows — see [`refresh_range_f32`] for why totals stay
-/// f64). The drift bound gains one `f32::EPSILON · (pos + neg)` term
-/// covering the narrowing error of every folded gain, on top of the
-/// fused-path bound.
-fn delta_range_batched_f32(
-    ls: ListenerState<'_>,
-    cache: &GainTable,
-    senders: &[usize],
-    enters: &[usize],
-    leaves: &[usize],
-) {
-    let mut ls = ls;
-    let len = ls.total.len();
-    let kf = (enters.len() + leaves.len()) as f64;
-    let mut pos_block = [0.0f64; DELTA_BLOCK];
-    let mut neg_block = [0.0f64; DELTA_BLOCK];
-    let mut start = 0usize;
-    while start < len {
-        let blk = (len - start).min(DELTA_BLOCK);
-        let pos = &mut pos_block[..blk];
-        let neg = &mut neg_block[..blk];
-        pos.fill(0.0);
-        neg.fill(0.0);
-        for &s in leaves {
-            simd::add_assign_f32(neg, cache.gain32_row(s, ls.base + start, blk));
-        }
-        for &s in enters {
-            simd::add_assign_f32(pos, cache.gain32_row(s, ls.base + start, blk));
-        }
-        for ((t, e), (&p, &ng)) in ls.total[start..start + blk]
-            .iter_mut()
-            .zip(ls.err[start..start + blk].iter_mut())
-            .zip(pos.iter().zip(neg.iter()))
-        {
-            let t_new = *t + (p - ng);
-            *t = t_new;
-            *e += f64::EPSILON * ((kf + 2.0) * (p + ng) + 2.0 * t_new.abs())
-                + f64::from(f32::EPSILON) * (p + ng);
         }
         start += blk;
     }
@@ -1832,9 +1595,6 @@ impl SlotState {
 #[derive(Debug)]
 pub struct CachedBackend {
     threads: usize,
-    /// Stream the f32 gain mirror in the hot sweeps (see
-    /// [`BackendSpec::fast32`]); decisions are unchanged.
-    fast32: bool,
     table: Option<Arc<GainTable>>,
     state: SlotState,
 }
@@ -1864,21 +1624,9 @@ impl CachedBackend {
         assert!(threads > 0, "threads must be nonzero");
         CachedBackend {
             threads,
-            fast32: false,
             table: None,
             state: SlotState::default(),
         }
-    }
-
-    /// Toggles the f32 fast path (see [`BackendSpec::fast32`]):
-    /// refresh and fused delta sweeps stream the table's half-width
-    /// gain mirror into f64 accumulators under a widened drift bound.
-    /// Decisions are bit-identical either way; only sweep bandwidth
-    /// changes. A no-op while `SINR_NO_SIMD` disables the vector
-    /// kernels.
-    pub fn fast32(mut self, fast32: bool) -> Self {
-        self.fast32 = fast32;
-        self
     }
 
     /// A cached kernel around an already-built shared gain table: when
@@ -1896,7 +1644,6 @@ impl CachedBackend {
         assert!(threads > 0, "threads must be nonzero");
         CachedBackend {
             threads,
-            fast32: false,
             table: Some(table),
             state: SlotState::default(),
         }
@@ -1934,14 +1681,6 @@ impl CachedBackend {
                 self.threads,
             )?));
         }
-        if self.fast32 && simd::enabled() {
-            // Materialize the f32 mirror up front so the cost lands in
-            // preparation (where benches report it as prepare_ms), not
-            // inside the first slot's parallel sweep.
-            if let Some(table) = self.table.as_deref() {
-                table.gains32();
-            }
-        }
         self.state.reset(positions.len());
         Ok(())
     }
@@ -1954,9 +1693,11 @@ impl CachedBackend {
     ///
     /// The repair reuses the churn machinery: a moved node that is
     /// currently transmitting is treated as *leaving* at its old gains
-    /// and *re-entering* at its new gains (growing the tracked drift
-    /// bound by one rounding unit per update, exactly like sender
-    /// churn), and each moved node's own listening state is rebuilt from
+    /// and *re-entering* at its new gains, both through
+    /// [`delta_range_batched`] (which grows the tracked drift bound
+    /// exactly as for sender churn; its nearest-sender patch relies on
+    /// [`GainTable::move_node`] keeping the block minima lower bounds),
+    /// and each moved node's own listening state is rebuilt from
     /// scratch (every distance to it changed). Bit-identity with
     /// [`ExactBackend`] is preserved by the same argument as for churn:
     /// totals stay within the tracked drift bound of the exact ordered
@@ -2032,13 +1773,12 @@ impl CachedBackend {
                 threads,
                 table,
                 state,
-                ..
             } = self;
             let Some(cache) = table.as_deref() else {
                 return;
             };
             Self::sweep_with(cache, *threads, state, |ls, table| {
-                delta_range(ls, table, &remaining, &[], &moved_senders)
+                delta_range_batched(ls, table, &remaining, &[], &moved_senders)
             });
         }
 
@@ -2060,14 +1800,13 @@ impl CachedBackend {
                 threads,
                 table,
                 state,
-                ..
             } = self;
             let Some(cache) = table.as_deref() else {
                 return;
             };
             let senders = std::mem::take(&mut state.prev);
             Self::sweep_with(cache, *threads, state, |ls, table| {
-                delta_range(ls, table, &senders, &moved_senders, &[])
+                delta_range_batched(ls, table, &senders, &moved_senders, &[])
             });
             state.prev = senders;
         }
@@ -2133,11 +1872,10 @@ impl CachedBackend {
 
 impl InterferenceBackend for CachedBackend {
     fn name(&self) -> &'static str {
-        match (self.fast32, self.threads > 1) {
-            (true, true) => "cached:f32+par",
-            (true, false) => "cached:f32",
-            (false, true) => "cached+par",
-            (false, false) => "cached",
+        if self.threads > 1 {
+            "cached+par"
+        } else {
+            "cached"
         }
     }
 
@@ -2192,22 +1930,14 @@ impl InterferenceBackend for CachedBackend {
             // surfaces here as the structured error.
             self.prepare_impl(params, positions)?;
         }
-        let use_f32 = self.fast32 && simd::enabled();
         let CachedBackend {
             threads,
             table,
             state,
-            ..
         } = self;
         let Some(cache) = table.as_deref() else {
             return Err(PhysError::BackendNotPrepared { backend: "cached" });
         };
-        if use_f32 {
-            // Usually a no-op: prepare_impl materializes the mirror.
-            // Covers backends constructed around a shared table that was
-            // built before the f32 path was requested.
-            cache.gains32();
-        }
 
         // Diff the sorted sender sets into arrivals and departures.
         diff_sorted(&state.prev, senders, &mut state.enters, &mut state.leaves);
@@ -2224,35 +1954,17 @@ impl InterferenceBackend for CachedBackend {
             // A delta as large as the set itself makes the rebuild the
             // cheaper path; the periodic refresh bounds float drift.
             state.ops_since_refresh = 0;
-            if use_f32 {
-                Self::sweep_with(cache, *threads, state, |ls, cache| {
-                    refresh_range_f32(ls, cache, senders)
-                });
-            } else {
-                Self::sweep_with(cache, *threads, state, |ls, cache| {
-                    refresh_range(ls, cache, senders)
-                });
-            }
+            Self::sweep_with(cache, *threads, state, |ls, cache| {
+                refresh_range(ls, cache, senders)
+            });
         } else if delta > 0 {
             let (enters, leaves) = (
                 std::mem::take(&mut state.enters),
                 std::mem::take(&mut state.leaves),
             );
-            if !simd::enabled() {
-                // Escape hatch: the legacy one-sender-at-a-time sweep,
-                // kept callable so CI can diff decisions against it.
-                Self::sweep_with(cache, *threads, state, |ls, cache| {
-                    delta_range(ls, cache, senders, &enters, &leaves)
-                });
-            } else if use_f32 {
-                Self::sweep_with(cache, *threads, state, |ls, cache| {
-                    delta_range_batched_f32(ls, cache, senders, &enters, &leaves)
-                });
-            } else {
-                Self::sweep_with(cache, *threads, state, |ls, cache| {
-                    delta_range_batched(ls, cache, senders, &enters, &leaves)
-                });
-            }
+            Self::sweep_with(cache, *threads, state, |ls, cache| {
+                delta_range_batched(ls, cache, senders, &enters, &leaves)
+            });
             state.enters = enters;
             state.leaves = leaves;
         }
@@ -2432,11 +2144,6 @@ struct CellSlot {
 #[derive(Debug, Clone, Copy)]
 struct NearLink {
     node: u32,
-    /// The gain narrowed to f32 at build time, filling what used to be
-    /// struct padding (a link stays 16 bytes). One shared table serves
-    /// both `hybrid` and `hybrid:f32` — the f32 sweeps read this lane,
-    /// the f64 sweeps never touch it.
-    gain32: f32,
     gain: f64,
 }
 
@@ -2539,11 +2246,7 @@ fn build_row(
                 }
                 let d2 = positions[m as usize].dist_sq(pu);
                 let gain = params.received_power(d2.sqrt());
-                row.push(NearLink {
-                    node: m,
-                    gain32: gain as f32,
-                    gain,
-                });
+                row.push(NearLink { node: m, gain });
             }
         }
     }
@@ -2842,7 +2545,6 @@ impl HybridTable {
                     i,
                     NearLink {
                         node: mu,
-                        gain32: link.gain32,
                         gain: link.gain,
                     },
                 );
@@ -2868,17 +2570,7 @@ fn hybrid_reach(cutoff: f64, cell_size: f64) -> i64 {
 /// identical bits for the near-field portion — and nearest **near**
 /// senders re-selected with the exact backend's first-minimum
 /// tie-break.
-///
-/// With `fast32` the near sums stream each link's build-time f32 gain
-/// (f64 accumulator — see [`refresh_range_f32`]), and the drift bound
-/// gains the same `f32::EPSILON · |total|` narrowing term. Nearest
-/// selection stays on the exact f64 distances either way.
-fn hybrid_refresh_range(
-    ls: ListenerState<'_>,
-    table: &HybridTable,
-    sending: &[bool],
-    fast32: bool,
-) {
+fn hybrid_refresh_range(ls: ListenerState<'_>, table: &HybridTable, sending: &[bool]) {
     for i in 0..ls.total.len() {
         let u = ls.base + i;
         let pu = table.positions[u];
@@ -2891,11 +2583,7 @@ fn hybrid_refresh_range(
             if !sending[v] {
                 continue;
             }
-            total += if fast32 {
-                f64::from(link.gain32)
-            } else {
-                link.gain
-            };
+            total += link.gain;
             terms += 1;
             let d = table.positions[v].dist_sq(pu);
             if d < bd {
@@ -2904,35 +2592,25 @@ fn hybrid_refresh_range(
             }
         }
         ls.total[i] = total;
-        ls.err[i] = (f64::from(terms) + 1.0) * f64::EPSILON * total.abs()
-            + if fast32 {
-                f64::from(f32::EPSILON) * total.abs()
-            } else {
-                0.0
-            };
+        ls.err[i] = (f64::from(terms) + 1.0) * f64::EPSILON * total.abs();
         ls.best_d2[i] = bd;
         ls.best_s[i] = bs;
     }
 }
 
 /// Applies a transmitter-set delta to a listener range of the hybrid
-/// kernel (the sparse analogue of [`delta_range`]): departed near
+/// kernel (the sparse analogue of [`delta_range_batched`]): departed near
 /// senders' gains leave each row-adjacent listener's total, arrivals
 /// enter, the nearest-near-sender choice is patched with the
 /// (distance, index) tie-break, and listeners orphaned by a departure
 /// rescan their own row against the **current** sending flags — which
 /// the caller must have updated before this sweep runs.
-///
-/// With `fast32` the gain added/removed per update is the link's
-/// build-time f32 narrowing; each update's drift bump gains a
-/// `f32::EPSILON · |gain|` term covering that one narrowing error.
 fn hybrid_delta_range(
     ls: ListenerState<'_>,
     table: &HybridTable,
     sending: &[bool],
     enters: &[usize],
     leaves: &[usize],
-    fast32: bool,
 ) {
     let lo = ls.base as u32;
     let hi = (ls.base + ls.total.len()) as u32;
@@ -2944,14 +2622,8 @@ fn hybrid_delta_range(
                 break;
             }
             let i = link.node as usize - ls.base;
-            if fast32 {
-                let g = f64::from(link.gain32);
-                ls.total[i] -= g;
-                ls.err[i] += f64::EPSILON * ls.total[i].abs() + f64::from(f32::EPSILON) * g.abs();
-            } else {
-                ls.total[i] -= link.gain;
-                ls.err[i] += f64::EPSILON * ls.total[i].abs();
-            }
+            ls.total[i] -= link.gain;
+            ls.err[i] += f64::EPSILON * ls.total[i].abs();
         }
     }
     let mut orphaned: Vec<usize> = Vec::new();
@@ -2973,14 +2645,8 @@ fn hybrid_delta_range(
                 break;
             }
             let i = link.node as usize - ls.base;
-            if fast32 {
-                let g = f64::from(link.gain32);
-                ls.total[i] += g;
-                ls.err[i] += f64::EPSILON * ls.total[i].abs() + f64::from(f32::EPSILON) * g.abs();
-            } else {
-                ls.total[i] += link.gain;
-                ls.err[i] += f64::EPSILON * ls.total[i].abs();
-            }
+            ls.total[i] += link.gain;
+            ls.err[i] += f64::EPSILON * ls.total[i].abs();
             let d = table.positions[link.node as usize].dist_sq(ps);
             if d < ls.best_d2[i] || (d == ls.best_d2[i] && s < ls.best_s[i]) {
                 ls.best_d2[i] = d;
@@ -3126,9 +2792,6 @@ pub struct HybridBackend {
     threads: usize,
     /// The cutoff as specified (0.0 = auto-resolve to the weak range).
     cutoff: f64,
-    /// Stream build-time f32 near gains (guarded by the widened drift
-    /// bound; see [`hybrid_refresh_range`]).
-    fast32: bool,
     table: Option<Arc<HybridTable>>,
     state: HybridState,
 }
@@ -3160,19 +2823,9 @@ impl HybridBackend {
         HybridBackend {
             threads,
             cutoff,
-            fast32: false,
             table: None,
             state: HybridState::default(),
         }
-    }
-
-    /// Enables (or disables) the f32 near-gain fast path. Decisions
-    /// stay byte-identical to the f64 path — the widened drift bound
-    /// sends every uncertain margin through the exact ordered replay.
-    #[must_use]
-    pub fn fast32(mut self, fast32: bool) -> Self {
-        self.fast32 = fast32;
-        self
     }
 
     /// A hybrid kernel around an already-built shared sparse table:
@@ -3399,11 +3052,8 @@ impl HybridBackend {
             let Some(cache) = table.as_deref() else {
                 return;
             };
-            // Mobility repair stays on the exact f64 gains even in f32
-            // mode: per-update conservative err bumps compose, and the
-            // next refresh re-establishes the f32 sums.
             Self::sweep_with(cache, *threads, state, |ls, table, sending| {
-                hybrid_delta_range(ls, table, sending, &[], &moved_senders, false)
+                hybrid_delta_range(ls, table, sending, &[], &moved_senders)
             });
             state.cell_delta.clear();
             for &s in &moved_senders {
@@ -3472,7 +3122,7 @@ impl HybridBackend {
                 return;
             };
             Self::sweep_with(cache, *threads, state, |ls, table, sending| {
-                hybrid_delta_range(ls, table, sending, &moved_senders, &[], false)
+                hybrid_delta_range(ls, table, sending, &moved_senders, &[])
             });
             state.cell_delta.clear();
             for &s in &moved_senders {
@@ -3521,11 +3171,10 @@ impl HybridBackend {
 
 impl InterferenceBackend for HybridBackend {
     fn name(&self) -> &'static str {
-        match (self.fast32, self.threads > 1) {
-            (true, true) => "hybrid:f32+par",
-            (true, false) => "hybrid:f32",
-            (false, true) => "hybrid+par",
-            (false, false) => "hybrid",
+        if self.threads > 1 {
+            "hybrid+par"
+        } else {
+            "hybrid"
         }
     }
 
@@ -3597,7 +3246,6 @@ impl InterferenceBackend for HybridBackend {
             self.state.sending[s] = true;
         }
 
-        let use_f32 = self.fast32 && simd::enabled();
         {
             let HybridBackend {
                 threads,
@@ -3629,7 +3277,7 @@ impl InterferenceBackend for HybridBackend {
             if delta >= senders.len().max(1) || state.ops_since_refresh >= interval {
                 state.ops_since_refresh = 0;
                 Self::sweep_with(cache, *threads, state, |ls, table, sending| {
-                    hybrid_refresh_range(ls, table, sending, use_f32)
+                    hybrid_refresh_range(ls, table, sending)
                 });
                 Self::far_refresh(cache, *threads, state);
             } else if delta > 0 {
@@ -3638,7 +3286,7 @@ impl InterferenceBackend for HybridBackend {
                     std::mem::take(&mut state.leaves),
                 );
                 Self::sweep_with(cache, *threads, state, |ls, table, sending| {
-                    hybrid_delta_range(ls, table, sending, &enters, &leaves, use_f32)
+                    hybrid_delta_range(ls, table, sending, &enters, &leaves)
                 });
                 state.enters = enters;
                 state.leaves = leaves;
@@ -4078,94 +3726,6 @@ mod tests {
     }
 
     #[test]
-    fn fast32_cached_matches_exact_across_churn() {
-        // The f32 fast path takes a different rounding path per slot but
-        // must land on byte-identical decisions: the widened drift bound
-        // sends every uncertain margin through the exact f64 replay.
-        let p = params();
-        let pos = sinr_geom::deploy::uniform(60, 70.0, 9).unwrap();
-        let mut fast = BackendSpec::cached().with_fast32().build();
-        let mut exact = BackendSpec::exact().build();
-        fast.prepare(&p, &pos).unwrap();
-        let mut got = vec![None; pos.len()];
-        let mut want = vec![None; pos.len()];
-        let schedules: Vec<Vec<usize>> = vec![
-            (0..60).step_by(2).collect(),
-            (0..60).step_by(2).skip(3).collect(),
-            (0..60).step_by(3).collect(),
-            (1..60).step_by(2).collect(),
-            Vec::new(),
-            (0..60).step_by(4).collect(),
-            vec![7],
-            (0..60).collect(),
-        ];
-        for (step, senders) in schedules.iter().enumerate() {
-            fast.decide_slot(&p, &pos, senders, &mut got);
-            exact.decide_slot(&p, &pos, senders, &mut want);
-            assert_eq!(got, want, "slot {step}");
-        }
-    }
-
-    #[test]
-    fn fast32_hybrid_matches_f64_hybrid_bit_for_bit() {
-        // hybrid:f32 approximates the same *model* as hybrid (both are
-        // conservative vs exact); their decisions must agree exactly —
-        // the guarded replay erases the narrowing.
-        let p = params();
-        let pos = sinr_geom::deploy::uniform(60, 48.0, 7).unwrap();
-        let mut fast = BackendSpec::hybrid(8.0).with_fast32().build();
-        let mut plain = BackendSpec::hybrid(8.0).build();
-        let mut got = vec![None; pos.len()];
-        let mut want = vec![None; pos.len()];
-        for step in 0..24usize {
-            let senders: Vec<usize> = (0..60).skip(step % 4).step_by(2 + step % 3).collect();
-            fast.decide_slot(&p, &pos, &senders, &mut got);
-            plain.decide_slot(&p, &pos, &senders, &mut want);
-            assert_eq!(got, want, "slot {step}");
-        }
-    }
-
-    #[test]
-    fn fast32_cached_matches_exact_at_lane_remainders() {
-        // n straddling the 4- and 8-lane chunk widths exercises every
-        // SIMD tail; decisions must stay exact at each.
-        let p = params();
-        for n in [63usize, 64, 65] {
-            let pos = sinr_geom::deploy::uniform(n, 70.0, n as u64).unwrap();
-            let mut fast = BackendSpec::cached().with_fast32().build();
-            fast.prepare(&p, &pos).unwrap();
-            let mut got = vec![None; n];
-            for step in 0..6usize {
-                let senders: Vec<usize> = (step % 2..n).step_by(2 + step % 3).collect();
-                fast.decide_slot(&p, &pos, &senders, &mut got);
-                let want = decide_receptions(&p, &pos, &senders, InterferenceModel::Exact);
-                assert_eq!(got, want, "n {n} slot {step}");
-            }
-        }
-    }
-
-    #[test]
-    fn gains32_mirror_tracks_move_node() {
-        let p = params();
-        let mut pos = sinr_geom::deploy::uniform(14, 24.0, 3).unwrap();
-        let mut cache = GainTable::build(&p, &pos, 1);
-        // Materialize the mirror, then move nodes: the in-place patch
-        // must keep every mirrored gain equal to the narrowed rebuild.
-        cache.gains32();
-        pos[3] = Point::new(100.0, 5.25);
-        pos[9] = Point::new(100.0, 12.5);
-        cache.move_node(3, pos[3]);
-        cache.move_node(9, pos[9]);
-        let fresh = GainTable::build(&p, &pos, 1);
-        for s in 0..14 {
-            let mirror = cache.gain32_row(s, 0, 14);
-            for (u, &m) in mirror.iter().enumerate() {
-                assert_eq!(m, fresh.gain(s, u) as f32, "gain32 {s}->{u}");
-            }
-        }
-    }
-
-    #[test]
     fn cached_is_exact_on_symmetric_ties() {
         // Lattice symmetry produces exact SINR ties — the near-threshold
         // territory where the guarded fallback must engage.
@@ -4315,11 +3875,6 @@ mod tests {
             "cached:par:4",
             "hybrid:par:4",
             "hybrid:2.5:par:8",
-            "cached:f32",
-            "hybrid:f32",
-            "hybrid:16:f32",
-            "cached:f32:par:4",
-            "hybrid:2.5:f32:par:8",
         ] {
             let spec = BackendSpec::parse(s).unwrap();
             let rendered = spec.to_string();
@@ -4347,24 +3902,24 @@ mod tests {
             BackendSpec::parse("hybrid:par:4").unwrap(),
             BackendSpec::hybrid(0.0).with_threads(4)
         );
-        assert_eq!(
-            BackendSpec::parse("cached:f32").unwrap(),
-            BackendSpec::cached().with_fast32()
-        );
-        // `f32` is not numeric, so it must not be swallowed as a hybrid
-        // cutoff.
-        assert_eq!(
-            BackendSpec::parse("hybrid:f32").unwrap(),
-            BackendSpec::hybrid(0.0).with_fast32()
-        );
         assert!(BackendSpec::parse("grid").is_err());
         assert!(BackendSpec::parse("par:0").is_err());
         assert!(BackendSpec::parse("hybrid:-2").is_err());
         assert!(BackendSpec::parse("warp").is_err());
-        // The stateless models have no gain rows to narrow.
-        assert!(BackendSpec::parse("exact:f32").is_err());
-        assert!(BackendSpec::parse("grid:8:f32").is_err());
-        assert!(BackendSpec::parse("f32").is_err());
+        // The removed `f32` component is refused by name wherever it
+        // sits (and is never swallowed as a hybrid cutoff).
+        for s in [
+            "cached:f32",
+            "hybrid:f32",
+            "hybrid:16:f32",
+            "cached:f32:par:4",
+            "hybrid:2.5:f32:par:8",
+            "exact:f32",
+            "f32",
+        ] {
+            let e = BackendSpec::parse(s).unwrap_err();
+            assert!(e.contains("\"f32\"") && e.contains("removed"), "{s}: {e}");
+        }
     }
 
     #[test]
@@ -4391,30 +3946,6 @@ mod tests {
         assert_eq!(
             BackendSpec::hybrid(8.0).with_threads(2).build().name(),
             "hybrid+par"
-        );
-        assert_eq!(
-            BackendSpec::cached().with_fast32().build().name(),
-            "cached:f32"
-        );
-        assert_eq!(
-            BackendSpec::cached()
-                .with_fast32()
-                .with_threads(2)
-                .build()
-                .name(),
-            "cached:f32+par"
-        );
-        assert_eq!(
-            BackendSpec::hybrid(8.0).with_fast32().build().name(),
-            "hybrid:f32"
-        );
-        assert_eq!(
-            BackendSpec::hybrid(8.0)
-                .with_fast32()
-                .with_threads(2)
-                .build()
-                .name(),
-            "hybrid:f32+par"
         );
     }
 

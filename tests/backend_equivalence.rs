@@ -221,30 +221,23 @@ proptest! {
         }
     }
 
-    /// Claim 3 at SIMD tail sizes: n straddling the 4-lane f64 and
-    /// 8-lane f32 chunk widths (63/64/65, 127/128/129, ...) exercises
-    /// every remainder path of the unrolled kernels, for both the f64
-    /// and the opt-in f32 fast path. Decisions must equal exact at each.
+    /// Claim 3 at lane-remainder sizes: n straddling the 4-lane chunk
+    /// width and the 64-listener prune blocks (63/64/65, 127/128/129,
+    /// ...) exercises every remainder path of the unrolled kernels.
+    /// Decisions must equal exact at each.
     #[test]
     fn cached_matches_exact_at_lane_remainder_sizes(
         which in 0usize..8,
         seed in 0u64..100,
         range in 6.0f64..24.0,
         stride in 1usize..4,
-        fast32_sel in 0u8..2,
     ) {
         const NS: [usize; 8] = [63, 64, 65, 127, 128, 129, 255, 257];
         let n = NS[which];
-        let fast32 = fast32_sel == 1;
         let side = (n as f64).sqrt() * 2.5;
         if let Ok(pts) = deploy::uniform(n, side, seed) {
             let sinr = SinrParams::builder().range(range).build().unwrap();
-            let spec = if fast32 {
-                BackendSpec::cached().with_fast32()
-            } else {
-                BackendSpec::cached()
-            };
-            let mut cached = spec.build();
+            let mut cached = BackendSpec::cached().build();
             cached.prepare(&sinr, &pts).unwrap();
             let mut got = vec![None; n];
             for step in 0..4usize {
@@ -252,46 +245,8 @@ proptest! {
                     (0..n).skip(step % 2).step_by(stride + step % 3).collect();
                 cached.decide_slot(&sinr, &pts, &senders, &mut got);
                 let want = decide_receptions(&sinr, &pts, &senders, InterferenceModel::Exact);
-                prop_assert_eq!(&got, &want, "n {} slot {} fast32 {}", n, step, fast32);
+                prop_assert_eq!(&got, &want, "n {} slot {}", n, step);
             }
-        }
-    }
-
-    /// Claim 4 for the f32 fast path: the widened drift bound keeps the
-    /// half-width-row kernel byte-identical to exact under the hardest
-    /// combination — incremental mobility repair plus sender churn.
-    #[test]
-    fn fast32_repair_matches_exact_under_movement_and_churn(
-        pts in near_field_points(40, 24),
-        range in 4.0f64..30.0,
-        stride in 1usize..4,
-        movers_per_slot in 1usize..4,
-    ) {
-        let sinr = SinrParams::builder().range(range).build().unwrap();
-        let mut pts = pts;
-        let mut cached = BackendSpec::cached().with_fast32().build();
-        cached.prepare(&sinr, &pts).unwrap();
-        let mut got = vec![None; pts.len()];
-        let mut park = 0usize;
-        for step in 0..6usize {
-            let mut idxs: Vec<usize> = (0..movers_per_slot)
-                .map(|k| (step * movers_per_slot + k) % pts.len())
-                .collect();
-            idxs.sort_unstable();
-            idxs.dedup();
-            let mut moved: Vec<(usize, Point)> = Vec::new();
-            for &m in &idxs {
-                let to = Point::new(200.0 + 2.0 * park as f64, 200.0);
-                park += 1;
-                pts[m] = to;
-                moved.push((m, to));
-            }
-            cached.update_positions(&sinr, &pts, &moved);
-            let senders: Vec<usize> =
-                (0..pts.len()).skip(step % 2).step_by(stride + step % 2).collect();
-            cached.decide_slot(&sinr, &pts, &senders, &mut got);
-            let want = decide_receptions(&sinr, &pts, &senders, InterferenceModel::Exact);
-            prop_assert_eq!(&got, &want, "slot {} (movers {})", step, movers_per_slot);
         }
     }
 
@@ -565,28 +520,19 @@ proptest! {
         };
         let exact = spec(BackendSpec::exact()).run();
         let cached = spec(BackendSpec::cached()).run();
-        let fast = spec(BackendSpec::cached().with_fast32()).run();
-        match (exact, cached, fast) {
-            (Ok(exact), Ok(cached), Ok(fast)) => {
+        match (exact, cached) {
+            (Ok(exact), Ok(cached)) => {
                 let exact_json = report_for(&exact).to_json();
                 let cached_json = report_for(&cached)
                     .to_json()
                     .replace("backend=cached", "backend=exact")
                     .replace("\"backend\":\"cached\"", "\"backend\":\"exact\"");
-                // Longest-name replacement first: `cached:f32` contains
-                // `cached` as a prefix.
-                let fast_json = report_for(&fast)
-                    .to_json()
-                    .replace("backend=cached:f32", "backend=exact")
-                    .replace("\"backend\":\"cached:f32\"", "\"backend\":\"exact\"");
                 prop_assert_eq!(&exact_json, &cached_json);
-                prop_assert_eq!(&exact_json, &fast_json);
             }
             // A run may fail (e.g. a teleport colliding with a walker),
             // but then every backend must fail identically.
-            (exact, cached, fast) => {
-                prop_assert_eq!(exact.as_ref().err(), cached.as_ref().err());
-                prop_assert_eq!(exact.err(), fast.err());
+            (exact, cached) => {
+                prop_assert_eq!(exact.err(), cached.err());
             }
         }
     }
