@@ -19,9 +19,11 @@
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::{Arc, Condvar, Mutex};
 
 use sinr_scenario::{PreparedDeployment, ScenarioError, ScenarioSpec};
+
+use crate::recover;
 
 /// A point-in-time snapshot of cache effectiveness.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -86,15 +88,10 @@ struct BuildingKey<'a> {
 impl Drop for BuildingKey<'_> {
     fn drop(&mut self) {
         // This runs while a panic unwinds, where a second panic would
-        // abort the process, so take the lock with poison recovery (as
-        // sweep's `lock_group` does): removing a key and waking the
-        // waiters is valid against any state a panic can leave behind.
-        self.cache
-            .inner
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .building
-            .remove(&self.key);
+        // abort the process; `recover` takes the lock regardless, and
+        // removing a key and waking the waiters is valid against any
+        // state a panic can leave behind.
+        recover(self.cache.inner.lock()).building.remove(&self.key);
         self.cache.built.notify_all();
     }
 }
@@ -161,7 +158,7 @@ impl TableCache {
     ) -> Result<(Arc<PreparedDeployment>, bool), ScenarioError> {
         let key = cache_key(spec);
         {
-            let mut inner = self.inner.lock().expect("cache lock");
+            let mut inner = recover(self.inner.lock());
             loop {
                 inner.tick += 1;
                 let tick = inner.tick;
@@ -182,7 +179,7 @@ impl TableCache {
                 if !inner.building.contains(&key) {
                     break;
                 }
-                inner = self.built.wait(inner).expect("cache lock");
+                inner = recover(self.built.wait(inner));
             }
             inner.building.insert(key.clone());
         }
@@ -202,7 +199,7 @@ impl TableCache {
         prep: Arc<PreparedDeployment>,
         bytes: u64,
     ) -> Arc<PreparedDeployment> {
-        let mut inner = self.inner.lock().expect("cache lock");
+        let mut inner = recover(self.inner.lock());
         if bytes > self.budget {
             // Larger than the whole budget: serve it uncached rather
             // than flushing everything for a single tenant. Waiters on
@@ -240,7 +237,7 @@ impl TableCache {
 
     /// Current counters and residency.
     pub fn stats(&self) -> CacheStats {
-        let inner = self.inner.lock().expect("cache lock");
+        let inner = recover(self.inner.lock());
         CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
@@ -356,7 +353,7 @@ mod tests {
         }));
         assert!(unwound.is_err(), "the injected panic propagates");
         assert!(
-            cache.inner.lock().expect("cache lock").building.is_empty(),
+            recover(cache.inner.lock()).building.is_empty(),
             "the unwind released the building key"
         );
         let (prep, hit) = cache.get_or_prepare(&a).unwrap();

@@ -27,6 +27,19 @@ pub mod json;
 mod service;
 mod signal;
 
+use std::sync::{LockResult, PoisonError};
+
 pub use cache::{CacheStats, TableCache};
 pub use service::{ServeConfig, ServeSummary, Service};
 pub use signal::{draining, install_sigterm_drain};
+
+/// Takes a lock, or wakes from a condvar wait, whether or not an earlier
+/// holder panicked (as sweep's `lock_group` does). Every mutex in this
+/// crate stays usable after a critical section unwinds: the job queue,
+/// the running and replay maps and the cache index change in single
+/// steps, and the output writer can at worst hold a torn line. Without
+/// this, one panicking request would turn every later lock into a
+/// second panic and take the whole service down.
+pub(crate) fn recover<G>(result: LockResult<G>) -> G {
+    result.unwrap_or_else(PoisonError::into_inner)
+}

@@ -38,6 +38,7 @@ use sinr_scenario::{
 
 use crate::cache::{CacheStats, TableCache};
 use crate::json::{self, Value};
+use crate::recover;
 use crate::signal;
 
 /// Service tuning knobs.
@@ -144,9 +145,9 @@ impl Queue {
     }
 
     fn push(&self, job: Job) {
-        let mut st = self.state.lock().expect("queue lock");
+        let mut st = recover(self.state.lock());
         while st.jobs.len() >= self.depth && !st.closed {
-            st = self.not_full.wait(st).expect("queue lock");
+            st = recover(self.not_full.wait(st));
         }
         if !st.closed {
             st.jobs.push_back(job);
@@ -155,7 +156,7 @@ impl Queue {
     }
 
     fn pop(&self) -> Option<Job> {
-        let mut st = self.state.lock().expect("queue lock");
+        let mut st = recover(self.state.lock());
         loop {
             if let Some(job) = st.jobs.pop_front() {
                 self.not_full.notify_one();
@@ -164,23 +165,23 @@ impl Queue {
             if st.closed {
                 return None;
             }
-            st = self.not_empty.wait(st).expect("queue lock");
+            st = recover(self.not_empty.wait(st));
         }
     }
 
     fn close(&self) {
-        self.state.lock().expect("queue lock").closed = true;
+        recover(self.state.lock()).closed = true;
         self.not_empty.notify_all();
         self.not_full.notify_all();
     }
 
     fn contains(&self, id: u64) -> bool {
-        let st = self.state.lock().expect("queue lock");
+        let st = recover(self.state.lock());
         st.jobs.iter().any(|j| j.id == id)
     }
 
     fn remove(&self, id: u64) -> bool {
-        let mut st = self.state.lock().expect("queue lock");
+        let mut st = recover(self.state.lock());
         let before = st.jobs.len();
         st.jobs.retain(|j| j.id != id);
         let removed = st.jobs.len() < before;
@@ -191,7 +192,7 @@ impl Queue {
     }
 
     fn len(&self) -> usize {
-        self.state.lock().expect("queue lock").jobs.len()
+        recover(self.state.lock()).jobs.len()
     }
 }
 
@@ -212,21 +213,21 @@ impl<W: Write> Emitter<W> {
     }
 
     fn line(&self, record: &str) {
-        if self.failed.lock().expect("emit lock").is_some() {
+        if recover(self.failed.lock()).is_some() {
             return;
         }
-        let mut w = self.writer.lock().expect("writer lock");
+        let mut w = recover(self.writer.lock());
         let result = w
             .write_all(record.as_bytes())
             .and_then(|()| w.write_all(b"\n"))
             .and_then(|()| w.flush());
         if let Err(e) = result {
-            *self.failed.lock().expect("emit lock") = Some(e);
+            *recover(self.failed.lock()) = Some(e);
         }
     }
 
     fn take_error(&self) -> Option<io::Error> {
-        self.failed.lock().expect("emit lock").take()
+        recover(self.failed.lock()).take()
     }
 }
 
@@ -275,6 +276,29 @@ struct Conn<W: Write> {
     workers: usize,
 }
 
+impl<W: Write> Conn<W> {
+    fn new(output: W, config: &ServeConfig, workers: usize) -> Self {
+        Conn {
+            emit: Emitter::new(output),
+            queue: Queue::new(config.queue_depth),
+            running: Mutex::new(HashMap::new()),
+            log: Mutex::new(ReplayLog {
+                cap: config.replay_log,
+                map: HashMap::new(),
+                order: VecDeque::new(),
+            }),
+            completed: AtomicU64::new(0),
+            cancelled: AtomicU64::new(0),
+            errors: AtomicU64::new(0),
+            replays: AtomicU64::new(0),
+            replay_mismatches: AtomicU64::new(0),
+            cells: AtomicU64::new(0),
+            started: Instant::now(),
+            workers,
+        }
+    }
+}
+
 impl Service {
     /// A service with the given tuning.
     pub fn new(config: ServeConfig) -> Self {
@@ -300,24 +324,7 @@ impl Service {
             (self.config.workers > 0).then_some(self.config.workers),
             None,
         );
-        let conn = Conn {
-            emit: Emitter::new(output),
-            queue: Queue::new(self.config.queue_depth),
-            running: Mutex::new(HashMap::new()),
-            log: Mutex::new(ReplayLog {
-                cap: self.config.replay_log,
-                map: HashMap::new(),
-                order: VecDeque::new(),
-            }),
-            completed: AtomicU64::new(0),
-            cancelled: AtomicU64::new(0),
-            errors: AtomicU64::new(0),
-            replays: AtomicU64::new(0),
-            replay_mismatches: AtomicU64::new(0),
-            cells: AtomicU64::new(0),
-            started: Instant::now(),
-            workers,
-        };
+        let conn = Conn::new(output, &self.config, workers);
 
         let mut read_error = None;
         std::thread::scope(|s| {
@@ -492,7 +499,7 @@ impl Service {
             conn.emit.line(&cancelled_record(id, "queued", 0));
             return;
         }
-        if let Some(flag) = conn.running.lock().expect("running lock").get(&id) {
+        if let Some(flag) = recover(conn.running.lock()).get(&id) {
             // Running: the worker observes the flag between cells and
             // emits the `cancelled` record itself.
             flag.store(true, Ordering::Relaxed);
@@ -518,7 +525,7 @@ impl Service {
         // completes, then resolve the stored reports.
         loop {
             let record = {
-                let log = conn.log.lock().expect("log lock");
+                let log = recover(conn.log.lock());
                 log.map.get(&id).map(|r| JobKind::Replay {
                     spec: r.spec.clone(),
                     axes: r.axes.clone(),
@@ -529,8 +536,7 @@ impl Service {
                 self.enqueue(conn, id, kind);
                 return;
             }
-            let pending = conn.queue.contains(id)
-                || conn.running.lock().expect("running lock").contains_key(&id);
+            let pending = conn.queue.contains(id) || recover(conn.running.lock()).contains_key(&id);
             if !pending {
                 conn.errors.fetch_add(1, Ordering::Relaxed);
                 conn.emit.line(&error_record(
@@ -608,10 +614,7 @@ impl Service {
     // ---- worker side -------------------------------------------------
 
     fn process(&self, conn: &Conn<impl Write>, job: Job) {
-        conn.running
-            .lock()
-            .expect("running lock")
-            .insert(job.id, Arc::clone(&job.cancel));
+        recover(conn.running.lock()).insert(job.id, Arc::clone(&job.cancel));
         match &job.kind {
             JobKind::Run { spec, axes } => self.process_run(conn, &job, spec, axes),
             JobKind::Replay {
@@ -620,7 +623,7 @@ impl Service {
                 expected,
             } => self.process_replay(conn, &job, spec, axes, expected),
         }
-        conn.running.lock().expect("running lock").remove(&job.id);
+        recover(conn.running.lock()).remove(&job.id);
     }
 
     fn process_run(&self, conn: &Conn<impl Write>, job: &Job, spec: &str, axes: &[Axis]) {
@@ -680,7 +683,7 @@ impl Service {
         let count = reports.len();
         conn.cells.fetch_add(count as u64, Ordering::Relaxed);
         conn.completed.fetch_add(1, Ordering::Relaxed);
-        conn.log.lock().expect("log lock").insert(
+        recover(conn.log.lock()).insert(
             job.id,
             ReplayRecord {
                 spec: spec.to_string(),
@@ -1072,5 +1075,35 @@ mod tests {
         });
         let _ = std::fs::remove_file(&path);
         let _ = std::fs::remove_dir(&dir);
+    }
+
+    #[test]
+    fn poisoned_queue_lock_still_serves_push_pop_and_stats() {
+        let service = Service::new(ServeConfig::default());
+        let conn = Conn::new(Vec::new(), &service.config, 1);
+        let job = |id| Job {
+            id,
+            kind: JobKind::Run {
+                spec: String::new(),
+                axes: Vec::new(),
+            },
+            cancel: Arc::new(AtomicBool::new(false)),
+        };
+        conn.queue.push(job(1));
+        let poisoned = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _held = conn.queue.state.lock().unwrap();
+            panic!("poison the job queue");
+        }));
+        assert!(poisoned.is_err());
+        assert!(conn.queue.state.is_poisoned());
+
+        conn.queue.push(job(2));
+        assert!(conn.queue.contains(2));
+        assert_eq!(conn.queue.pop().map(|j| j.id), Some(1));
+        let stats = json::parse(&service.stats_record(&conn)).expect("stats parses");
+        assert_eq!(stats.get("queue_depth").and_then(Value::as_u64), Some(1));
+        assert!(conn.queue.remove(2));
+        conn.queue.close();
+        assert!(conn.queue.pop().is_none());
     }
 }

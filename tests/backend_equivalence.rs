@@ -186,12 +186,21 @@ proptest! {
     /// to fresh exact computation, under combined movement and sender
     /// churn. Movers park on a distant row, so the near-field invariant
     /// is maintained the way the engine maintains it.
+    ///
+    /// Two sender schedules. The churning one alternates between two
+    /// sets that differ in about as many senders as each holds, so
+    /// nearly every slot takes the full-refresh path, which recomputes
+    /// every total from scratch. The held one (`low_churn == 1`) keeps
+    /// one sender set across all steps: no churn delta and no refresh,
+    /// so each total rests on the mobility repair alone, including the
+    /// sweep that removes a moving sender's gains at its old position.
     #[test]
     fn cached_repair_matches_exact_under_movement_and_churn(
         pts in near_field_points(40, 24),
         range in 4.0f64..30.0,
         stride in 1usize..4,
         movers_per_slot in 1usize..4,
+        low_churn in 0usize..2,
     ) {
         let sinr = SinrParams::builder().range(range).build().unwrap();
         let mut pts = pts;
@@ -213,11 +222,15 @@ proptest! {
                 moved.push((m, to));
             }
             cached.update_positions(&sinr, &pts, &moved);
+            let phase = if low_churn == 1 { 0 } else { step % 2 };
             let senders: Vec<usize> =
-                (0..pts.len()).skip(step % 2).step_by(stride + step % 2).collect();
+                (0..pts.len()).skip(phase).step_by(stride + phase).collect();
             cached.decide_slot(&sinr, &pts, &senders, &mut got);
             let want = decide_receptions(&sinr, &pts, &senders, InterferenceModel::Exact);
-            prop_assert_eq!(&got, &want, "slot {} (movers {})", step, movers_per_slot);
+            prop_assert_eq!(
+                &got, &want,
+                "slot {} (movers {}, low churn {})", step, movers_per_slot, low_churn
+            );
         }
     }
 

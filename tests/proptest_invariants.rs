@@ -90,6 +90,33 @@ proptest! {
         }
     }
 
+    /// The eccentricity-bounding diameter equals the all-pairs BFS
+    /// oracle (the largest eccentricity over every node), on random edge
+    /// lists (n in 0..80, from empty and disconnected to dense) and on
+    /// random geometric graphs.
+    #[test]
+    fn diameter_matches_all_pairs_bfs(
+        random in (0usize..80).prop_flat_map(|n| {
+            let ends = 0..n.max(1);
+            prop::collection::vec((ends.clone(), ends), 0..3 * n + 1)
+                .prop_map(move |edges| (n, edges))
+        }),
+        pts in near_field_points(60, 24),
+        range in 1.0f64..12.0,
+    ) {
+        let (n, edges) = random;
+        let oracle = |g: &Graph| -> Option<u32> {
+            if g.is_empty() {
+                return None;
+            }
+            (0..g.len()).map(|v| g.eccentricity(v)).try_fold(0, |d, e| Some(d.max(e?)))
+        };
+        let g = Graph::from_edges(n, edges.iter().copied());
+        prop_assert_eq!(g.diameter(), oracle(&g), "edge list {:?} on n={}", edges, n);
+        let g = induce_graph(&pts, range);
+        prop_assert_eq!(g.diameter(), oracle(&g), "geometric, range {}", range);
+    }
+
     /// Greedy MIS always produces a maximal independent set.
     #[test]
     fn greedy_mis_is_always_mis(
